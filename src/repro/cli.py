@@ -334,9 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--telemetry", metavar="DIR", default=None,
                        help="record this invocation as a telemetry run "
                             "under DIR")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="run the event loop on uvloop when installed "
-                            "(automatically falls back to asyncio)")
     serve.add_argument("--state-dir", default=None,
                        help="durable session state: spill/restore "
                             "per-session table arenas under this "
@@ -948,14 +945,9 @@ def _cmd_telemetry(args, out) -> int:
     return 0
 
 
-def _cmd_serve(args, out) -> int:
-    import asyncio
-    import signal
-
-    from repro.serve.server import PredictionServer, resolve_loop_factory
-
-    loop_factory, loop_flavor = resolve_loop_factory(args.uvloop)
-
+def _emitter(args, out):
+    """The ``listening``/``drained`` line writer: one JSON object per
+    line with ``--json``, else the human-readable text."""
     def emit(event: dict, human: str) -> None:
         if args.json:
             out.write(json.dumps(dict(event, schema=1), sort_keys=True)
@@ -963,6 +955,36 @@ def _cmd_serve(args, out) -> int:
         else:
             out.write(human + "\n")
         out.flush()
+    return emit
+
+
+async def _until_signalled(emit, event: dict, human: str) -> None:
+    """Install the SIGINT/SIGTERM drain handlers, then emit the
+    ``listening`` line and wait for a signal.
+
+    The handlers go in first: a signal sent as soon as ``listening``
+    appears must drain, never kill the process.
+    """
+    import asyncio
+    import signal
+
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, stop.set)
+        except NotImplementedError:  # pragma: no cover - non-POSIX
+            signal.signal(signum, lambda *_: stop.set())
+    emit(event, human)
+    await stop.wait()
+
+
+def _cmd_serve(args, out) -> int:
+    import asyncio
+
+    from repro.serve.server import PredictionServer
+
+    emit = _emitter(args, out)
 
     async def _serve():
         from repro.telemetry.slo import default_serve_slos
@@ -984,32 +1006,21 @@ def _cmd_serve(args, out) -> int:
             obs_note += (f", state {args.state_dir} "
                          f"({server.server_stats()['sessions_spilled']} "
                          f"spilled session(s) adopted)")
-        emit({"event": "listening", "host": args.host, "port": server.port,
-              "obs_port": server.obs_port, "shards": args.shards,
-              "state_dir": args.state_dir,
-              "sessions_spilled": (server.server_stats()["sessions_spilled"]
-                                   if args.state_dir else 0),
-              "loop": loop_flavor},
-             f"listening on {args.host}:{server.port} "
-             f"({args.shards} shards, batch<={args.max_batch}, "
-             f"delay<={args.max_delay_ms:g}ms, loop {loop_flavor}"
-             f"{obs_note}) -- SIGTERM/SIGINT drains and exits")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                signal.signal(signum, lambda *_: stop.set())
-        await stop.wait()
+        await _until_signalled(
+            emit,
+            {"event": "listening", "host": args.host, "port": server.port,
+             "obs_port": server.obs_port, "shards": args.shards,
+             "state_dir": args.state_dir,
+             "sessions_spilled": (server.server_stats()["sessions_spilled"]
+                                  if args.state_dir else 0)},
+            f"listening on {args.host}:{server.port} "
+            f"({args.shards} shards, batch<={args.max_batch}, "
+            f"delay<={args.max_delay_ms:g}ms{obs_note}) "
+            f"-- SIGTERM/SIGINT drains and exits")
         return await server.stop()
 
     with _maybe_telemetry(args) as telemetry:
-        if loop_factory is None:
-            stats = asyncio.run(_serve())
-        else:
-            with asyncio.Runner(loop_factory=loop_factory) as runner:
-                stats = runner.run(_serve())
+        stats = asyncio.run(_serve())
     if args.slow_out:
         with open(args.slow_out, "w") as handle:
             json.dump(stats.get("slow_requests", {}), handle, indent=2,
@@ -1149,18 +1160,11 @@ def _cluster_status(args, out) -> int:
 
 def _cluster_serve(args, out) -> int:
     import asyncio
-    import signal
 
     from repro.serve.cluster.router import Router
     from repro.serve.cluster.supervisor import ClusterSupervisor
 
-    def emit(event: dict, human: str) -> None:
-        if args.json:
-            out.write(json.dumps(dict(event, schema=1), sort_keys=True)
-                      + "\n")
-        else:
-            out.write(human + "\n")
-        out.flush()
+    emit = _emitter(args, out)
 
     supervisor = ClusterSupervisor(
         args.workers, host="127.0.0.1", shards=args.shards,
@@ -1181,22 +1185,16 @@ def _cluster_serve(args, out) -> int:
             obs_note += (f", state {args.state_dir} "
                          f"({router.adopted_at_start} spilled "
                          f"session(s) adopted)")
-        emit({"event": "listening", "host": args.host,
-              "port": router.port, "obs_port": router.obs_port,
-              "workers": supervisor.describe(),
-              "state_dir": args.state_dir,
-              "sessions_adopted": router.adopted_at_start},
-             f"router listening on {args.host}:{router.port} "
-             f"({args.workers} workers{obs_note}) -- SIGTERM/SIGINT "
-             f"drains the fleet and exits")
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, stop.set)
-            except NotImplementedError:  # pragma: no cover - non-POSIX
-                signal.signal(signum, lambda *_: stop.set())
-        await stop.wait()
+        await _until_signalled(
+            emit,
+            {"event": "listening", "host": args.host,
+             "port": router.port, "obs_port": router.obs_port,
+             "workers": supervisor.describe(),
+             "state_dir": args.state_dir,
+             "sessions_adopted": router.adopted_at_start},
+            f"router listening on {args.host}:{router.port} "
+            f"({args.workers} workers{obs_note}) -- SIGTERM/SIGINT "
+            f"drains the fleet and exits")
         return await router.stop()
 
     with _maybe_telemetry(args) as telemetry:

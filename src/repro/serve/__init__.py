@@ -4,7 +4,7 @@ The offline harness replays traces through the engine layer in batch;
 this package serves the same predictors over TCP, online:
 
 - :mod:`repro.serve.protocol` -- the length-prefixed binary frame
-  format (versioned; OPEN_SESSION / PREDICT / OUTCOME / STEP /
+  format (one version-2 header; OPEN_SESSION / PREDICT / OUTCOME / STEP /
   STEP_BLOCK / FLUSH / STATS / CLOSE_SESSION).
 - :mod:`repro.serve.session` -- per-session predictor state built from
   a picklable :class:`~repro.core.spec.PredictorSpec`, with an optional

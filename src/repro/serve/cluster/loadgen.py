@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence
 from repro.core.spec import DelayedSpec, PredictorSpec
 from repro.serve.client import ServeClient
 from repro.serve.cluster.router import ClusterThread
-from repro.serve.loadgen import percentile
+from repro.serve.obs import latency_summary
 
 __all__ = ["run_scaling_loadgen", "render_scaling"]
 
@@ -96,8 +96,7 @@ def _run_point(n_workers: int, spec: PredictorSpec, window: int,
               for key, res in sorted(out.items()) if "error" in res]
     if errors:
         raise RuntimeError("; ".join(errors))
-    pooled = sorted(lat for res in out.values()
-                    for lat in res["latencies"])
+    pooled = [lat for res in out.values() for lat in res["latencies"]]
     total_records = len(pcs) * sessions
     return {
         "workers": n_workers,
@@ -106,11 +105,7 @@ def _run_point(n_workers: int, spec: PredictorSpec, window: int,
         "seconds": round(elapsed, 6),
         "records_per_s": round(total_records / elapsed, 1)
         if elapsed else 0.0,
-        "latency": {
-            "p50_ms": round(percentile(pooled, 50) * 1e3, 4),
-            "p90_ms": round(percentile(pooled, 90) * 1e3, 4),
-            "p99_ms": round(percentile(pooled, 99) * 1e3, 4),
-        },
+        "latency": latency_summary(pooled, ("p50", "p90", "p99")),
         "session_hits": {str(res["session"]): res["hits"]
                          for res in out.values()},
         "reconnects": sum(res["reconnects"] for res in out.values()),

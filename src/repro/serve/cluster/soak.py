@@ -37,7 +37,7 @@ from typing import List, Optional
 from repro.core.spec import DelayedSpec, PredictorSpec
 from repro.serve.client import ServeClient
 from repro.serve.cluster.router import ClusterThread
-from repro.serve.loadgen import percentile
+from repro.serve.obs import latency_summary
 
 __all__ = ["run_soak", "render_soak"]
 
@@ -167,8 +167,8 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
               for key, res in sorted(out.items()) if "error" in res]
     passes = sum(res.get("passes", 0) for res in out.values())
     mismatches = sum(res.get("mismatches", 0) for res in out.values())
-    pooled = sorted(lat for res in out.values()
-                    for lat in res.get("latencies", []))
+    pooled = [lat for res in out.values()
+              for lat in res.get("latencies", [])]
     burns = [s["signals"]["slo_burn_rate"] for s in samples
              if "signals" in s]
     peak_burn = max(burns) if burns else 0.0
@@ -200,13 +200,7 @@ def run_soak(spec: PredictorSpec, trace, workers: int = 2,
         "parity_ok": parity_ok,
         "reconnects": sum(res.get("reconnects", 0)
                           for res in out.values()),
-        "latency": {
-            "count": len(pooled),
-            "p50_ms": (round(percentile(pooled, 50) * 1e3, 4)
-                       if pooled else 0.0),
-            "p99_ms": (round(percentile(pooled, 99) * 1e3, 4)
-                       if pooled else 0.0),
-        },
+        "latency": latency_summary(pooled, ("count", "p50", "p99")),
         "max_burn": max_burn,
         "peak_burn": round(peak_burn, 4),
         "burn_breaches": burn_breaches,

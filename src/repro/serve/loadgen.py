@@ -27,35 +27,17 @@ regression guard.
 from __future__ import annotations
 
 import time
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.spec import DelayedSpec, PredictorSpec
 from repro.serve.client import ServeClient
+from repro.serve.obs import latency_summary
 
-__all__ = ["run_loadgen", "percentile"]
+__all__ = ["run_loadgen"]
 
 LOADGEN_SCHEMA = 1
 
 _MASK32 = 0xFFFFFFFF
-
-
-def percentile(sorted_values: List[float], p: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    rank = int(round((p / 100.0) * (len(sorted_values) - 1)))
-    return sorted_values[min(rank, len(sorted_values) - 1)]
-
-
-def _latency_summary(latencies: List[float]) -> dict:
-    ordered = sorted(latencies)
-    mean = sum(ordered) / len(ordered) if ordered else 0.0
-    return {
-        "p50_ms": round(percentile(ordered, 50) * 1e3, 4),
-        "p90_ms": round(percentile(ordered, 90) * 1e3, 4),
-        "p99_ms": round(percentile(ordered, 99) * 1e3, 4),
-        "mean_ms": round(mean * 1e3, 4),
-    }
 
 
 def _replay_naive(client: ServeClient, session: int, pcs, values):
@@ -95,16 +77,14 @@ def _run_mode(host: str, port: int, spec: PredictorSpec, window: int,
                                               block)
         elapsed = time.perf_counter() - started
         stats = client.close_session(session)
-        negotiated = client.protocol_version
     records = len(pcs)
     result = {
         "mode": mode,
         "records": records,
-        "protocol_version": negotiated,
         "requests": len(latencies),
         "seconds": round(elapsed, 6),
         "records_per_s": round(records / elapsed, 1) if elapsed else 0.0,
-        "latency": _latency_summary(latencies),
+        "latency": latency_summary(latencies),
         "hits": hits,
         "accuracy": round(hits / records, 6) if records else 0.0,
     }
@@ -141,8 +121,6 @@ def run_loadgen(spec: PredictorSpec, trace, host: str, port: int,
     for name in modes:
         report["modes"][name] = _run_mode(host, port, spec, window, name,
                                           pcs, values, block)
-    report["protocol_version"] = next(
-        iter(report["modes"].values()))["protocol_version"]
     if "naive" in report["modes"] and "batched" in report["modes"]:
         naive_rate = report["modes"]["naive"]["records_per_s"]
         batched_rate = report["modes"]["batched"]["records_per_s"]

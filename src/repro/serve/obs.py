@@ -44,13 +44,14 @@ from __future__ import annotations
 import asyncio
 import inspect
 import json
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.serve.tracing import parse_trace_id
 from repro.telemetry.live import live_prometheus_text
 
-__all__ = ["ObservabilityServer"]
+__all__ = ["ObservabilityServer", "json_response", "percentile",
+           "latency_summary"]
 
 _MAX_REQUEST_LINE = 8192
 _HEADER_TIMEOUT = 5.0
@@ -138,23 +139,23 @@ class ObservabilityServer:
             return ("200 OK", "text/plain; version=0.0.4; charset=utf-8",
                     text.encode("utf-8"))
         if path == "/healthz":
-            return _json(self.server.healthz())
+            return json_response(self.server.healthz())
         if path == "/slo":
-            return _json(self.server.slo_report())
+            return json_response(self.server.slo_report())
         if path == "/slow":
-            return _json(self.server.slow_requests())
+            return json_response(self.server.slow_requests())
         if path == "/tables":
-            return _json(self.server.tables_report())
+            return json_response(self.server.tables_report())
         if path == "/trace":
-            return _json(self.server.trace_dump(_int(query, "limit")))
+            return json_response(self.server.trace_dump(_int(query, "limit")))
         if path.startswith("/trace/"):
             try:
                 trace_id = parse_trace_id(path[len("/trace/"):])
             except ValueError as exc:
                 return _text("400 Bad Request", f"{exc}\n")
-            return _json(self.server.trace_lookup(trace_id))
+            return json_response(self.server.trace_lookup(trace_id))
         if path == "/":
-            return _json({
+            return json_response({
                 "service": "repro-serve",
                 "endpoints": ["/metrics", "/healthz", "/slo", "/slow",
                               "/tables", "/trace"],
@@ -182,10 +183,46 @@ def _int(query: dict, key: str) -> Optional[int]:
         return None
 
 
-def _json(payload: dict) -> Tuple[str, str, bytes]:
+def json_response(payload: dict) -> Tuple[str, str, bytes]:
+    """A route's ``(status, content type, body)`` for a JSON payload."""
     body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
     return "200 OK", "application/json", body
 
 
 def _text(status: str, message: str) -> Tuple[str, str, bytes]:
     return status, "text/plain; charset=utf-8", message.encode("utf-8")
+
+
+def percentile(sorted_values: List[float], p: float) -> float:
+    """Nearest-rank percentile of an already-sorted sample."""
+    if not sorted_values:
+        return 0.0
+    rank = int(round((p / 100.0) * (len(sorted_values) - 1)))
+    return sorted_values[min(rank, len(sorted_values) - 1)]
+
+
+def latency_summary(samples: Iterable[float],
+                    fields: Sequence[str] = ("p50", "p90", "p99", "mean")
+                    ) -> dict:
+    """Millisecond summary of latency *samples* given in seconds.
+
+    *fields* names the keys in order: ``count``, ``mean``, ``max`` or a
+    percentile ``p<N>``; every field but ``count`` is reported as
+    ``<field>_ms`` rounded to 4 decimals, and 0.0 for an empty sample.
+    """
+    ordered = sorted(samples)
+    out = {}
+    for field in fields:
+        if field == "count":
+            out["count"] = len(ordered)
+            continue
+        if not ordered:
+            value = 0.0
+        elif field == "mean":
+            value = sum(ordered) / len(ordered)
+        elif field == "max":
+            value = ordered[-1]
+        else:
+            value = percentile(ordered, float(field[1:]))
+        out[f"{field}_ms"] = round(value * 1e3, 4)
+    return out

@@ -1,25 +1,23 @@
-"""The wire protocol: versioned, length-prefixed binary frames.
+"""The wire protocol: length-prefixed binary frames, version 2.
 
 Every frame is::
 
-    u32  length   -- bytes that follow (big-endian, like all fields)
-    u8   version  -- one of SUPPORTED_VERSIONS; others are rejected
-    u8   type     -- FrameType
+    u32  length     -- bytes that follow (big-endian, like all fields)
+    u8   version    -- always 2 (PROTOCOL_VERSION); others are rejected
+    u8   type       -- FrameType
     u32  request_id -- echoed verbatim in the response
-    u64  trace_id -- version >= 2 only; 0 = unassigned
-    ...  body     -- type-specific, see below
+    u64  trace_id   -- 0 = unassigned
+    ...  body       -- type-specific, see below
 
-Version 2 adds the ``trace_id`` header field: a client-chosen 64-bit
-id threaded through every server stage (queue, fuse, execute, flush)
-and echoed on the response, so one request can be found in spans, the
-slow-request sample, and histogram exemplars.  Negotiation is
-per-frame and backward compatible in both directions: a server decodes
-whichever supported version a frame announces and answers in that same
-version (version-1 requests get a server-assigned trace id
-internally, but their responses stay version 1); a version-2 client
-talking to a version-1-only server has its first request rejected
-(``BAD_FRAME``/``BAD_VERSION``) and silently re-connects speaking
-version 1 -- see :class:`repro.serve.client.ServeClient`.
+The 14-byte header (``HEADER_SIZE``) is the only layout; code that
+peeks at raw frames (the cluster router) reads it through
+:func:`unpack_header` and the ``*_OFFSET`` names below, never through
+literal offsets.  The ``trace_id`` is a client-chosen 64-bit id
+threaded through every server stage (queue, fuse, execute, flush) and
+echoed on the response, so one request can be found in spans, the
+slow-request sample, and histogram exemplars.  A frame announcing any
+other version is answered with a ``BAD_FRAME`` error (request id 0,
+trace id 0) and the connection is closed.
 
 Responses reuse the request's type with the high bit set
 (``RESPONSE_BIT``); errors use :data:`FrameType.ERROR` regardless of
@@ -94,10 +92,10 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["PROTOCOL_VERSION", "PROTOCOL_VERSION_V1", "SUPPORTED_VERSIONS",
-           "MAX_FRAME_BYTES", "RESPONSE_BIT",
+__all__ = ["PROTOCOL_VERSION", "MAX_FRAME_BYTES", "RESPONSE_BIT",
+           "HEADER_SIZE", "TYPE_OFFSET", "REQUEST_ID_OFFSET",
            "FrameType", "ErrorCode", "ProtocolError", "TornFrameError",
-           "Frame",
+           "type_name", "code_name", "Frame", "unpack_header",
            "encode_frame", "decode_frame", "read_frame_blocking",
            "BlockingFrameReader",
            "encode_open_session", "decode_open_session",
@@ -113,8 +111,6 @@ __all__ = ["PROTOCOL_VERSION", "PROTOCOL_VERSION_V1", "SUPPORTED_VERSIONS",
            "encode_error", "decode_error"]
 
 PROTOCOL_VERSION = 2
-PROTOCOL_VERSION_V1 = 1
-SUPPORTED_VERSIONS = (1, 2)
 
 #: Upper bound on a frame's declared length; a peer announcing more is
 #: protocol-broken (or hostile) and the connection is dropped.
@@ -122,9 +118,14 @@ MAX_FRAME_BYTES = 1 << 22
 
 RESPONSE_BIT = 0x80
 
-_HEADER = struct.Struct("!BBI")    # version, type, request_id
-_TRACE_ID = struct.Struct("!Q")    # version >= 2 extension
+_HEADER = struct.Struct("!BBIQ")   # version, type, request_id, trace_id
 _LENGTH = struct.Struct("!I")
+
+#: Header bytes before the body of a frame payload (the bytes after
+#: the length prefix), and the offsets a proxy patches in place.
+HEADER_SIZE = _HEADER.size
+TYPE_OFFSET = 1
+REQUEST_ID_OFFSET = 2
 
 
 class FrameType(enum.IntEnum):
@@ -144,6 +145,8 @@ class FrameType(enum.IntEnum):
 
 
 class ErrorCode(enum.IntEnum):
+    #: Unused since version 2 became the only format (a bad version
+    #: byte is ``BAD_FRAME``); kept so no code number moves.
     BAD_VERSION = 1
     BAD_FRAME = 2
     UNKNOWN_TYPE = 3
@@ -157,6 +160,22 @@ class ErrorCode(enum.IntEnum):
     STATE_VERSION = 9
     #: SNAPSHOT on a server running without a state directory.
     STATE_UNAVAILABLE = 10
+
+
+def type_name(frame_type: int) -> str:
+    """Lower-case FrameType name, the label metrics and spans use."""
+    try:
+        return FrameType(frame_type).name.lower()
+    except ValueError:
+        return f"unknown_{frame_type}"
+
+
+def code_name(code: int) -> str:
+    """Lower-case ErrorCode name, the label metrics use."""
+    try:
+        return ErrorCode(code).name.lower()
+    except ValueError:
+        return f"code_{code}"
 
 
 class ProtocolError(Exception):
@@ -174,7 +193,6 @@ class Frame:
     type: int
     request_id: int
     body: bytes
-    version: int = PROTOCOL_VERSION
     trace_id: int = 0
 
     @property
@@ -188,59 +206,52 @@ class Frame:
 
 
 def _frame_buffer(frame_type: int, request_id: int, body_len: int,
-                  version: int, trace_id: int) -> Tuple[bytearray, int]:
+                  trace_id: int) -> Tuple[bytearray, int]:
     """One preallocated buffer for a whole frame (length prefix included),
     with the prefix and header already written; returns ``(buffer,
     body_offset)`` so callers serialise the body straight into place."""
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"cannot encode protocol version {version}; "
-                            f"supported: {list(SUPPORTED_VERSIONS)}")
-    head = _HEADER.size + (_TRACE_ID.size if version >= 2 else 0)
-    if head + body_len > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame of {head + body_len} bytes exceeds the "
+    length = HEADER_SIZE + body_len
+    if length > MAX_FRAME_BYTES:
+        raise ProtocolError(f"frame of {length} bytes exceeds the "
                             f"{MAX_FRAME_BYTES}-byte limit")
-    out = bytearray(_LENGTH.size + head + body_len)
-    _LENGTH.pack_into(out, 0, head + body_len)
-    _HEADER.pack_into(out, _LENGTH.size, version, frame_type,
-                      request_id & 0xFFFFFFFF)
-    if version >= 2:
-        _TRACE_ID.pack_into(out, _LENGTH.size + _HEADER.size,
-                            trace_id & 0xFFFFFFFFFFFFFFFF)
-    return out, _LENGTH.size + head
+    out = bytearray(_LENGTH.size + length)
+    _LENGTH.pack_into(out, 0, length)
+    _HEADER.pack_into(out, _LENGTH.size, PROTOCOL_VERSION, frame_type,
+                      request_id & 0xFFFFFFFF,
+                      trace_id & 0xFFFFFFFFFFFFFFFF)
+    return out, _LENGTH.size + HEADER_SIZE
 
 
 def encode_frame(frame_type: int, request_id: int, body: bytes = b"",
-                 version: int = PROTOCOL_VERSION, trace_id: int = 0) -> bytes:
-    out, offset = _frame_buffer(frame_type, request_id, len(body),
-                                version, trace_id)
+                 trace_id: int = 0) -> bytes:
+    out, offset = _frame_buffer(frame_type, request_id, len(body), trace_id)
     out[offset:] = body
     return bytes(out)
 
 
+def unpack_header(payload) -> Tuple[int, int, int]:
+    """``(type, request_id, trace_id)`` of a frame payload (the bytes
+    after the length prefix); a short header or a version byte other
+    than :data:`PROTOCOL_VERSION` raises :class:`ProtocolError`."""
+    if len(payload) < HEADER_SIZE:
+        raise ProtocolError(f"truncated frame header ({len(payload)} bytes)")
+    version, frame_type, request_id, trace_id = _HEADER.unpack_from(payload)
+    if version != PROTOCOL_VERSION:
+        raise ProtocolError(f"protocol version {version}, "
+                            f"expected {PROTOCOL_VERSION}")
+    return frame_type, request_id, trace_id
+
+
 def decode_frame(payload: bytes) -> Frame:
     """Decode the bytes *after* the length prefix into a :class:`Frame`."""
-    if len(payload) < _HEADER.size:
-        raise ProtocolError(f"truncated frame header ({len(payload)} bytes)")
-    version, frame_type, request_id = _HEADER.unpack_from(payload)
-    if version not in SUPPORTED_VERSIONS:
-        raise ProtocolError(f"protocol version {version}, "
-                            f"expected one of {list(SUPPORTED_VERSIONS)}")
-    trace_id = 0
-    offset = _HEADER.size
-    if version >= 2:
-        if len(payload) < offset + _TRACE_ID.size:
-            raise ProtocolError(
-                f"truncated v{version} frame header ({len(payload)} bytes)")
-        (trace_id,) = _TRACE_ID.unpack_from(payload, offset)
-        offset += _TRACE_ID.size
-    return Frame(frame_type, request_id, payload[offset:],
-                 version=version, trace_id=trace_id)
+    frame_type, request_id, trace_id = unpack_header(payload)
+    return Frame(frame_type, request_id, payload[HEADER_SIZE:], trace_id)
 
 
 def read_length(prefix: bytes) -> int:
     """Validate and decode a frame's 4-byte length prefix."""
     (length,) = _LENGTH.unpack(prefix)
-    if length < _HEADER.size:
+    if length < HEADER_SIZE:
         raise ProtocolError(f"frame length {length} below header size")
     if length > MAX_FRAME_BYTES:
         raise ProtocolError(f"frame length {length} exceeds the "
@@ -276,7 +287,7 @@ class BlockingFrameReader:
         frame = decode_frame(payload)
         if copy:
             frame = Frame(frame.type, frame.request_id, bytes(frame.body),
-                          version=frame.version, trace_id=frame.trace_id)
+                          frame.trace_id)
         return frame
 
     def _recv_exact(self, n: int,
@@ -428,8 +439,7 @@ def encode_block_result(predicted, hits: int) -> bytes:
 
 
 def encode_block_result_frame(frame_type: int, request_id: int, predicted,
-                              hits: int, version: int = PROTOCOL_VERSION,
-                              trace_id: int = 0) -> bytearray:
+                              hits: int, trace_id: int = 0) -> bytearray:
     """A complete STEP_BLOCK response frame in one allocation.
 
     The hot-path equivalent of ``encode_frame(...,
@@ -439,8 +449,7 @@ def encode_block_result_frame(frame_type: int, request_id: int, predicted,
     """
     count = len(predicted)
     out, offset = _frame_buffer(frame_type, request_id,
-                                _RESULT_HEAD.size + 4 * count,
-                                version, trace_id)
+                                _RESULT_HEAD.size + 4 * count, trace_id)
     _RESULT_HEAD.pack_into(out, offset, count, hits)
     _fill_block_result(out, offset + _RESULT_HEAD.size, predicted)
     return out

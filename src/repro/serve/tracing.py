@@ -1,8 +1,8 @@
 """Wire-level request tracing for the serving data path.
 
 Every request the server accepts gets a :class:`RequestTrace`: the
-64-bit trace id from the frame header (version-2 clients choose it,
-version-1 requests get a server-assigned one), plus monotonic stamps
+64-bit trace id from the frame header (the client chooses it; a frame
+carrying trace id 0 gets a server-assigned one), plus monotonic stamps
 at each stage boundary of the pipeline::
 
     recv -> submit -> dequeue -> exec_start -> exec_end -> done
@@ -95,7 +95,6 @@ class RequestTrace:
     trace_id: int
     frame_type: str
     request_id: int = 0
-    version: int = 0
     session_id: int = 0
     shard: Optional[int] = None
     records: int = 0
@@ -137,7 +136,6 @@ class RequestTrace:
             "trace_id": self.trace_id_hex,
             "type": self.frame_type,
             "request_id": self.request_id,
-            "protocol_version": self.version,
             "session": self.session_id,
             "shard": self.shard,
             "records": self.records,
@@ -194,7 +192,6 @@ class RouterTrace:
     trace_id: int
     frame_type: str
     request_id: int = 0
-    version: int = 0
     session_id: int = 0
     records: int = 0
     hops: List[int] = field(default_factory=list)
@@ -267,7 +264,6 @@ class RouterTrace:
             "trace_id": self.trace_id_hex,
             "type": self.frame_type,
             "request_id": self.request_id,
-            "protocol_version": self.version,
             "session": self.session_id,
             "records": self.records,
             "workers": list(self.hops),

@@ -251,6 +251,53 @@ class TestFailover:
                 assert stats["sessions_lost_total"] == 0
                 assert stats["migrations_total"] >= 1
 
+    @pytest.mark.parametrize("frame", ["open", "step_block"])
+    def test_write_to_a_closing_worker_is_failed_over(self, tmp_path,
+                                                      frame):
+        """A worker can close its socket before the router's reader
+        sees EOF; the forward's drain then raises ConnectionError.
+        That frame must be left to the failover, not answered with a
+        'connection lost' error."""
+        spec = DFCMSpec(64, 256)
+        pcs, values = workload(200)
+        want = offline_hits(spec, pcs, values)
+        with ClusterThread(workers=2, state_dir=str(tmp_path),
+                           max_delay=0,
+                           router_kwargs={"auto_restart": False}) \
+                as cluster:
+            router = cluster.router
+
+            def break_next_write(backends):
+                # The next frame sent to any of *backends* finds its
+                # worker closing: SIGTERM it, then fail the drain.
+                def closing_drain(backend):
+                    async def drain():
+                        for b in backends:
+                            del b.writer.drain
+                        os.kill(cluster.supervisor.handles[
+                            backend.index].pid, signal.SIGTERM)
+                        raise ConnectionResetError("Connection lost")
+                    return drain
+
+                for b in backends:
+                    b.writer.drain = closing_drain(b)
+
+            with ServeClient("127.0.0.1", cluster.port) as client:
+                if frame == "open":
+                    break_next_write(list(router._backends.values()))
+                    sid = client.open_session(spec)
+                    hits = client.step_block(sid, pcs, values)[1]
+                else:
+                    sid = client.open_session(spec)
+                    hits = client.step_block(sid, pcs[:100],
+                                             values[:100])[1]
+                    break_next_write(
+                        [router._backends[router.session_owner(sid)]])
+                    hits += client.step_block(sid, pcs[100:],
+                                              values[100:])[1]
+                assert hits == want
+                assert client.stats(0)["sessions_lost_total"] == 0
+
     def test_auto_restart_brings_sessions_home(self, tmp_path):
         spec = DFCMSpec(64, 256)
         pcs, values = workload(200)
@@ -270,9 +317,13 @@ class TestFailover:
                 deadline = time.monotonic() + 30
                 while time.monotonic() < deadline:
                     stats = client.stats(0)
+                    # "joining" stays set until the revived slot's
+                    # sessions have migrated home.
                     if (stats["workers_alive"] == 2
                             and any(w["restarts"] for w in
-                                    stats["workers"])):
+                                    stats["workers"])
+                            and not any(w["joining"] for w in
+                                        stats["workers"])):
                         break
                     time.sleep(0.1)
                 else:
@@ -285,6 +336,37 @@ class TestFailover:
                 for s in sids:
                     client.step(s, 0x400, 7)
                 assert client.stats(0)["sessions_lost_total"] == 0
+
+
+class TestStop:
+    def test_stop_survives_a_swallowed_tick_cancel(self, monkeypatch):
+        """On Python 3.11, asyncio.wait_for returns its result instead
+        of raising when a cancel lands as its future completes -- a
+        tick mid-rebalance can lose the cancel from Router.stop.  The
+        router must still stop."""
+        import asyncio
+
+        from repro.serve.cluster.router import Router
+
+        ticking = threading.Event()
+
+        async def tick_that_swallows_cancel(router):
+            ticking.set()
+            try:
+                await asyncio.sleep(30)
+            except asyncio.CancelledError:
+                pass
+
+        monkeypatch.setattr(Router, "_tick", tick_that_swallows_cancel)
+        cluster = ClusterThread(workers=1,
+                                router_kwargs={"tick_interval": 0.01})
+        cluster.start()
+        try:
+            assert ticking.wait(30)
+        finally:
+            started = time.monotonic()
+            cluster.stop()
+        assert time.monotonic() - started < 20
 
 
 class TestDrainRestart:

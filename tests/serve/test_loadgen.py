@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.spec import DFCMSpec
-from repro.serve.loadgen import _latency_summary, percentile, run_loadgen
+from repro.serve.loadgen import run_loadgen
+from repro.serve.obs import latency_summary as _latency_summary, percentile
 from repro.serve.server import ServerThread
 from repro.trace.trace import ValueTrace
 
@@ -138,12 +139,3 @@ class TestRunLoadgen:
                                  mode="batched", block=1024)
         assert report["modes"]["batched"]["records"] == 4098
         assert report["verify"]["matched"] is True
-
-    def test_report_carries_negotiated_protocol_version(self):
-        spec = DFCMSpec(64, 256)
-        with ServerThread(max_delay=0) as server:
-            report = run_loadgen(spec, make_trace(30), "127.0.0.1",
-                                 server.port, mode="batched",
-                                 verify=False)
-        assert report["protocol_version"] == 2
-        assert report["modes"]["batched"]["protocol_version"] == 2

@@ -11,6 +11,7 @@ within tolerance of a server without it.
 
 import json
 import re
+import statistics
 import threading
 import time
 import urllib.error
@@ -357,10 +358,11 @@ class TestBurnRateDegrade:
 class TestOverheadGuard:
     def test_observability_keeps_batched_throughput(self):
         """Tracing + SLO monitor + obs endpoint must cost < 5% batched
-        throughput. Samples are taken in interleaved base/obs pairs and
-        the guard compares best-vs-best, so machine-load drift during
-        the test hits both sides equally; extra pairs are only taken if
-        the guard has not yet passed (flake armour, not gate-loosening).
+        throughput. Samples are taken in back-to-back base/obs pairs,
+        alternating which goes first, and the guard checks the median
+        per-pair ratio over a fixed number of pairs: load from other
+        processes that lands on both runs of a pair cancels in its
+        ratio, and the median drops the pairs a burst split.
         """
         spec = DFCMSpec(256, 1024)
         trace = make_trace(12_000)
@@ -372,12 +374,17 @@ class TestOverheadGuard:
                                      block=512, verify=False)
             return report["modes"]["batched"]["records_per_s"]
 
-        base = observed = 0.0
-        for _ in range(6):
-            base = max(base, rate())
-            observed = max(observed, rate(obs_port=0))
-            if observed >= 0.95 * base:
-                break
-        assert observed >= 0.95 * base, (
-            f"observability overhead too high: {observed:.0f} rec/s "
-            f"with obs vs {base:.0f} rec/s without")
+        ratios = []
+        for i in range(41):
+            if i % 2 == 0:
+                base = rate()
+                observed = rate(obs_port=0)
+            else:
+                observed = rate(obs_port=0)
+                base = rate()
+            ratios.append(observed / base)
+        ratio = statistics.median(ratios)
+        assert ratio >= 0.95, (
+            f"observability overhead too high: median throughput with "
+            f"obs is {ratio:.3f}x the rate without over {len(ratios)} "
+            f"pairs")

@@ -1,5 +1,8 @@
 """Wire-format round trips and rejection paths."""
 
+import socket
+import struct
+
 import pytest
 
 from repro.serve import protocol
@@ -42,13 +45,11 @@ class TestFrames:
             decode_frame(b"\x01")
 
     def test_oversized_length_rejected(self):
-        import struct
         prefix = struct.pack("!I", protocol.MAX_FRAME_BYTES + 1)
         with pytest.raises(ProtocolError, match="exceeds"):
             protocol.read_length(prefix)
 
     def test_undersized_length_rejected(self):
-        import struct
         with pytest.raises(ProtocolError, match="below"):
             protocol.read_length(struct.pack("!I", 2))
 
@@ -60,29 +61,27 @@ class TestFrames:
 
 class TestVersion2:
     def test_default_encode_is_v2(self):
-        frame = round_trip(FrameType.STEP, 1, b"x")
-        assert frame.version == protocol.PROTOCOL_VERSION == 2
+        payload = encode_frame(FrameType.STEP, 1, b"x")
+        assert payload[4] == protocol.PROTOCOL_VERSION == 2
 
     def test_v2_trace_id_round_trip(self):
         payload = encode_frame(FrameType.STEP, 7, b"abc",
                                trace_id=0xDEADBEEFCAFEF00D)
         frame = decode_frame(payload[4:])
         assert frame.trace_id == 0xDEADBEEFCAFEF00D
-        assert frame.version == 2
         assert frame.body == b"abc"
 
-    def test_v1_round_trip_has_no_trace_id(self):
-        payload = encode_frame(FrameType.STEP, 7, b"abc",
-                               version=protocol.PROTOCOL_VERSION_V1)
-        frame = decode_frame(payload[4:])
-        assert frame.version == 1
-        assert frame.trace_id == 0
-        assert frame.body == b"abc"
+    def test_v1_frame_rejected(self):
+        # A version-1 STATS frame: u8 version=1 | u8 type | u32 id | body.
+        v1 = bytes.fromhex("0107000000030000000000000000")
+        with pytest.raises(ProtocolError, match="protocol version 1"):
+            decode_frame(v1)
 
-    def test_v1_frame_is_8_bytes_smaller(self):
-        v1 = encode_frame(FrameType.STEP, 1, b"", version=1)
-        v2 = encode_frame(FrameType.STEP, 1, b"", version=2)
-        assert len(v2) - len(v1) == 8
+    def test_header_is_14_bytes(self):
+        assert protocol.HEADER_SIZE == 14
+        assert len(encode_frame(FrameType.STEP, 1, b"")) == 4 + 14
+        with pytest.raises(ProtocolError, match="below header size"):
+            protocol.read_length(struct.pack("!I", 13))
 
     def test_trace_id_masked_to_64_bits(self):
         payload = encode_frame(FrameType.STEP, 1, b"", trace_id=1 << 70)
@@ -94,12 +93,91 @@ class TestVersion2:
         with pytest.raises(ProtocolError, match="truncated"):
             decode_frame(payload[4:12])
 
-    def test_unsupported_encode_version_rejected(self):
-        with pytest.raises(ProtocolError, match="version"):
-            encode_frame(FrameType.STEP, 1, b"", version=3)
 
-    def test_both_versions_in_supported_tuple(self):
-        assert protocol.SUPPORTED_VERSIONS == (1, 2)
+#: One STEP_BLOCK request (session 0x0102030405060708, three records,
+#: request id 7, trace id 0x1122334455667788) and its response
+#: (predictions 5, 0, 0xCAFEBABE with 1 hit), byte for byte as every
+#: version-2 peer has always encoded them: deployed clients and
+#: servers depend on this layout.
+GOLDEN_STEP_BLOCK_REQUEST = bytes.fromhex(
+    "00000032" "02" "05" "00000007" "1122334455667788"
+    "0102030405060708" "00000003"
+    "00000040" "00000005" "00000044" "deadbeef" "ffffffff" "00000000")
+GOLDEN_STEP_BLOCK_RESPONSE = bytes.fromhex(
+    "00000022" "02" "85" "00000007" "1122334455667788"
+    "00000003" "00000001" "00000005" "00000000" "cafebabe")
+
+
+class TestGoldenBytes:
+    def test_step_block_request(self):
+        body = protocol.encode_step_block(
+            0x0102030405060708, [0x40, 0x44, 0xFFFFFFFF],
+            [5, 0xDEADBEEF, 0])
+        assert encode_frame(FrameType.STEP_BLOCK, 7, body,
+                            trace_id=0x1122334455667788) == \
+            GOLDEN_STEP_BLOCK_REQUEST
+
+    def test_step_block_response(self):
+        frame = protocol.encode_block_result_frame(
+            FrameType.STEP_BLOCK | protocol.RESPONSE_BIT, 7,
+            [5, 0, 0xCAFEBABE], 1, trace_id=0x1122334455667788)
+        assert bytes(frame) == GOLDEN_STEP_BLOCK_RESPONSE
+        assert encode_frame(
+            FrameType.STEP_BLOCK | protocol.RESPONSE_BIT, 7,
+            protocol.encode_block_result([5, 0, 0xCAFEBABE], 1),
+            trace_id=0x1122334455667788) == GOLDEN_STEP_BLOCK_RESPONSE
+
+    def test_golden_frames_decode(self):
+        frame = decode_frame(GOLDEN_STEP_BLOCK_REQUEST[4:])
+        assert frame.type == FrameType.STEP_BLOCK
+        assert frame.request_id == 7
+        assert frame.trace_id == 0x1122334455667788
+        assert protocol.decode_step_block(frame.body) == (
+            0x0102030405060708, [0x40, 0x44, 0xFFFFFFFF],
+            [5, 0xDEADBEEF, 0])
+        frame = decode_frame(GOLDEN_STEP_BLOCK_RESPONSE[4:])
+        assert protocol.decode_block_result(frame.body) == (
+            [5, 0, 0xCAFEBABE], 1)
+
+
+@pytest.fixture(scope="module", params=["serve", "router"])
+def endpoint_port(request):
+    """A single server, then a one-worker router fleet: both front
+    doors must reject a foreign version byte the same way."""
+    from repro.serve.cluster.router import ClusterThread
+    from repro.serve.server import ServerThread
+    host = (ServerThread(max_delay=0) if request.param == "serve"
+            else ClusterThread(workers=1, max_delay=0))
+    with host:
+        yield host.port
+
+
+@pytest.mark.parametrize("version", [1, 3])
+def test_foreign_version_gets_bad_frame_and_close(endpoint_port, version):
+    if version == 1:
+        # STATS(session 0) exactly as a version-1 client encoded it.
+        frame = bytes.fromhex("0000000e" "01" "07" "00000003"
+                              "0000000000000000")
+    else:
+        frame = bytearray(encode_frame(FrameType.STATS, 3,
+                                       protocol.encode_session_op(0),
+                                       trace_id=9))
+        frame[4] = version
+    expected = encode_frame(
+        FrameType.ERROR, 0, protocol.encode_error(
+            protocol.ErrorCode.BAD_FRAME,
+            f"protocol version {version}, expected 2"))
+    with socket.create_connection(("127.0.0.1", endpoint_port),
+                                  timeout=30) as sock:
+        sock.sendall(bytes(frame))
+        received = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            received += chunk
+    # Exactly one error frame, then EOF: the connection was closed.
+    assert received == expected
 
 
 class _FakeSocket:

@@ -252,7 +252,6 @@ class TestServeAndLoadgen:
         import signal
         import subprocess
         import sys
-        import time
 
         env = dict(os.environ, PYTHONPATH="src")
         proc = subprocess.Popen(
@@ -264,7 +263,6 @@ class TestServeAndLoadgen:
             assert listening["event"] == "listening"
             assert listening["schema"] == 1
             assert listening["port"] > 0
-            time.sleep(0.1)
             proc.send_signal(signal.SIGTERM)
             stdout, _ = proc.communicate(timeout=30)
         finally:
@@ -274,6 +272,33 @@ class TestServeAndLoadgen:
         drained = json.loads(stdout.strip().splitlines()[-1])
         assert drained["event"] == "drained"
         assert drained["stats"]["draining"] is True
+
+    def test_cluster_serve_subprocess_sigterm_drain(self):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        env = dict(os.environ, PYTHONPATH="src")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "cluster", "serve", "--json",
+             "--workers", "1", "--port", "0"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            listening = json.loads(proc.stdout.readline())
+            assert listening["event"] == "listening"
+            (worker,) = listening["workers"]
+            proc.send_signal(signal.SIGTERM)
+            stdout, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+        assert proc.returncode == 0
+        drained = json.loads(stdout.strip().splitlines()[-1])
+        assert drained["event"] == "drained"
+        # The supervisor joined its worker before the CLI exited.
+        with pytest.raises(ProcessLookupError):
+            os.kill(worker["pid"], 0)
 
     def test_serve_subprocess_obs_endpoint_and_slow_out(self, tmp_path):
         import os
