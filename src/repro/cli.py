@@ -82,6 +82,40 @@ def _maybe_telemetry(args):
                          argv=getattr(args, "_argv", None))
 
 
+def _add_replay_arguments(parser: argparse.ArgumentParser,
+                          limit: int) -> None:
+    """Options ``loadgen`` and ``soak`` share: what to replay, the
+    self-hosted fleet's sessions and state, and the report outputs."""
+    parser.add_argument("name", help="workload name (see 'workloads')")
+    parser.add_argument("--predictor", default="dfcm",
+                        choices=["lvp", "lastn", "stride", "stride2d",
+                                 "fcm", "dfcm"])
+    parser.add_argument("--l1", type=int, default=16,
+                        help="log2 level-1 entries")
+    parser.add_argument("--l2", type=int, default=12,
+                        help="log2 level-2 entries")
+    parser.add_argument("--limit", type=int, default=limit,
+                        help=f"records per replay pass (default {limit})")
+    parser.add_argument("--window", type=int, default=0,
+                        help="delayed-update window (default 0)")
+    parser.add_argument("--block", type=int, default=256,
+                        help="records per STEP_BLOCK frame (default 256)")
+    parser.add_argument("--sessions", type=int, default=4,
+                        help="concurrent sessions on a self-hosted fleet "
+                             "(default 4)")
+    parser.add_argument("--state-dir", default=None,
+                        help="shared state directory for a self-hosted "
+                             "fleet")
+    parser.add_argument("--json", action="store_true",
+                        help="print the full report JSON")
+    parser.add_argument("--out", default=None,
+                        help="also write the report JSON to this file")
+    parser.add_argument("--history", metavar="FILE", default=None,
+                        help="append a self-hosted fleet's record to this "
+                             "bench history JSONL ('repro bench diff' "
+                             "gates scaling records)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -348,51 +382,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     loadgen = sub.add_parser(
         "loadgen", help="replay a trace against a prediction server")
-    loadgen.add_argument("name", help="workload name")
+    _add_replay_arguments(loadgen, limit=1000)
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=None,
                          help="server port")
-    loadgen.add_argument("--predictor", default="dfcm",
-                         choices=["lvp", "lastn", "stride", "stride2d",
-                                  "fcm", "dfcm"])
-    loadgen.add_argument("--l1", type=int, default=16,
-                         help="log2 level-1 entries")
-    loadgen.add_argument("--l2", type=int, default=12,
-                         help="log2 level-2 entries")
-    loadgen.add_argument("--limit", type=int, default=1000,
-                         help="records to replay (default 1000)")
-    loadgen.add_argument("--window", type=int, default=0,
-                         help="delayed-update window (default 0)")
     loadgen.add_argument("--mode", default="both",
                          choices=["naive", "batched", "both"])
-    loadgen.add_argument("--block", type=int, default=256,
-                         help="records per STEP_BLOCK frame (default 256)")
     loadgen.add_argument("--min-speedup", type=float, default=None,
                          help="fail unless batched beats naive by this "
                               "factor (needs --mode both)")
-    loadgen.add_argument("--no-verify", action="store_true",
-                         help="skip the offline-engine accuracy check")
-    loadgen.add_argument("--json", action="store_true",
-                         help="print the full report JSON")
-    loadgen.add_argument("--out", default=None,
-                         help="also write the report JSON to this file")
     loadgen.add_argument("--cluster-workers", default=None,
                          help="scaling mode: comma-separated fleet "
                               "sizes (e.g. 1,2,3) to self-host and "
                               "sweep instead of targeting --port")
-    loadgen.add_argument("--sessions", type=int, default=4,
-                         help="concurrent sessions per scaling point "
-                              "(default 4; scaling mode only)")
     loadgen.add_argument("--min-scaling", type=float, default=None,
                          help="fail unless the largest fleet beats one "
                               "worker by this factor (scaling mode)")
-    loadgen.add_argument("--state-dir", default=None,
-                         help="shared state directory for the "
-                              "self-hosted fleet (scaling mode)")
-    loadgen.add_argument("--history", metavar="FILE", default=None,
-                         help="append the scaling record to this bench "
-                              "history JSONL ('repro bench diff' gates "
-                              "it; scaling mode)")
 
     cluster = sub.add_parser(
         "cluster", help="multi-worker cluster serving (router + fleet)")
@@ -440,47 +445,15 @@ def build_parser() -> argparse.ArgumentParser:
     soak = sub.add_parser(
         "soak", help="sustained cluster soak gated on multi-window "
                      "SLO burn (self-hosts a fleet)")
-    soak.add_argument("name", help="workload name (see 'workloads')")
+    _add_replay_arguments(soak, limit=2000)
     soak.add_argument("--workers", type=int, default=2,
                       help="fleet size (default 2)")
-    soak.add_argument("--sessions", type=int, default=4,
-                      help="concurrent replay sessions (default 4)")
     soak.add_argument("--duration-s", type=float, default=60.0,
                       help="wall-clock soak duration (default 60)")
-    soak.add_argument("--predictor", default="dfcm",
-                      choices=["lvp", "lastn", "stride", "stride2d",
-                               "fcm", "dfcm"])
-    soak.add_argument("--l1", type=int, default=16,
-                      help="log2 level-1 entries")
-    soak.add_argument("--l2", type=int, default=12,
-                      help="log2 level-2 entries")
-    soak.add_argument("--limit", type=int, default=2000,
-                      help="records per replay pass (default 2000)")
-    soak.add_argument("--window", type=int, default=0,
-                      help="delayed-update window (default 0)")
-    soak.add_argument("--block", type=int, default=256,
-                      help="records per STEP_BLOCK frame (default 256)")
-    soak.add_argument("--state-dir", default=None,
-                      help="shared state directory for the fleet")
     soak.add_argument("--max-burn", type=float, default=2.0,
                       help="fail when the sustained SLO burn rate "
                            "reaches this (default 2.0, the alerting "
                            "threshold)")
-    soak.add_argument("--poll-interval-s", type=float, default=2.0,
-                      help="telemetry sampling interval (default 2s)")
-    soak.add_argument("--json", action="store_true",
-                      help="print the full report JSON")
-    soak.add_argument("--out", default=None,
-                      help="also write the report JSON to this file")
-    soak.add_argument("--trace-out", metavar="FILE", default=None,
-                      help="write the router's trace-store dump (the "
-                           "most recent cross-process spans) to FILE")
-    soak.add_argument("--history", metavar="FILE", default=None,
-                      help="append the soak record to this bench "
-                           "history JSONL")
-    soak.add_argument("--ci", action="store_true",
-                      help="bounded CI profile: clamps --duration-s to "
-                           "90 and --limit to 2000")
 
     top = sub.add_parser(
         "top", help="live dashboard over a serve --obs-port endpoint")
@@ -1038,81 +1011,62 @@ def _cmd_serve(args, out) -> int:
     return 0
 
 
+def _write_report(args, out, report: dict, render, ok: bool,
+                  append_history=None) -> int:
+    """The ``--out``/``--history``/``--json`` tail shared by ``loadgen``
+    and ``soak``; returns the exit code."""
+    if args.out:
+        with open(args.out, "w") as handle:
+            json.dump(report, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    history = args.history if append_history is not None else None
+    if history:
+        append_history(report, history)
+    if args.json:
+        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    else:
+        out.write(render(report))
+        if history:
+            out.write(f"history: appended to {history}\n")
+    return 0 if ok else 1
+
+
 def _cmd_loadgen(args, out) -> int:
     from repro.core.spec import spec_from_cli
-    from repro.serve.loadgen import run_loadgen
+    from repro.harness.bench import append_cluster_history
+    from repro.serve import loadgen
     from repro.trace.cache import cached_trace
 
     spec = spec_from_cli(args.predictor, 1 << args.l1, 1 << args.l2)
     trace = cached_trace(args.name, args.limit)
     if args.cluster_workers is not None:
-        return _loadgen_scaling(args, out, spec, trace)
+        try:
+            workers = [int(n) for n in args.cluster_workers.split(",")
+                       if n]
+        except ValueError:
+            raise ValueError(
+                f"--cluster-workers must be comma-separated integers, "
+                f"got {args.cluster_workers!r}") from None
+        report = loadgen.run_scaling_loadgen(
+            spec, trace, workers=workers, sessions=args.sessions,
+            window=args.window, block=args.block,
+            state_dir=args.state_dir, min_scaling=args.min_scaling)
+        return _write_report(
+            args, out, report, loadgen.render_scaling,
+            report["parity_ok"] and report.get("scaling_ok") is not False,
+            append_cluster_history)
     if args.port is None:
         raise ValueError(
             "--port is required (or use --cluster-workers to self-host "
             "a fleet)")
-    report = run_loadgen(spec, trace, args.host, args.port,
-                         window=args.window, mode=args.mode,
-                         block=args.block, verify=not args.no_verify,
-                         min_speedup=args.min_speedup)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(f"{report['spec']} on {report['trace']} "
-                  f"({report['records']} records, window "
-                  f"{report['window']})\n")
-        for name, stats in report["modes"].items():
-            latency = stats["latency"]
-            out.write(
-                f"  {name:8s} {stats['records_per_s']:>12,.0f} rec/s  "
-                f"p50 {latency['p50_ms']:.3f}ms  "
-                f"p99 {latency['p99_ms']:.3f}ms  "
-                f"accuracy {stats['accuracy']:.4f}\n")
-        if "speedup" in report:
-            out.write(f"  speedup: batched {report['speedup']:.1f}x naive\n")
-        if "verify" in report:
-            state = "match" if report["verify"]["matched"] else "MISMATCH"
-            out.write(f"  offline parity: {state} "
-                      f"({report['verify']['offline_hits']} hits)\n")
-    failed = (report.get("speedup_ok") is False
-              or (report.get("verify") is not None
-                  and not report["verify"]["matched"]))
-    return 1 if failed else 0
-
-
-def _loadgen_scaling(args, out, spec, trace) -> int:
-    from repro.serve.cluster.loadgen import (render_scaling,
-                                             run_scaling_loadgen)
-    try:
-        workers = [int(n) for n in args.cluster_workers.split(",") if n]
-    except ValueError:
-        raise ValueError(
-            f"--cluster-workers must be comma-separated integers, got "
-            f"{args.cluster_workers!r}") from None
-    report = run_scaling_loadgen(
-        spec, trace, workers=workers, sessions=args.sessions,
-        window=args.window, block=args.block, state_dir=args.state_dir,
-        min_scaling=args.min_scaling)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.history:
-        from repro.harness.bench import append_cluster_history
-        append_cluster_history(report, args.history)
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_scaling(report))
-        if args.history:
-            out.write(f"history: appended to {args.history}\n")
-    failed = (not report["parity_ok"]
-              or report.get("scaling_ok") is False)
-    return 1 if failed else 0
+    report = loadgen.run_loadgen(spec, trace, args.host, args.port,
+                                 window=args.window, mode=args.mode,
+                                 block=args.block,
+                                 min_speedup=args.min_speedup)
+    return _write_report(
+        args, out, report, loadgen.render_loadgen,
+        report["verify"]["matched"]
+        and report.get("speedup_ok") is not False)
 
 
 def _cmd_cluster(args, out) -> int:
@@ -1214,42 +1168,18 @@ def _cluster_serve(args, out) -> int:
 
 def _cmd_soak(args, out) -> int:
     from repro.core.spec import spec_from_cli
-    from repro.serve.cluster.soak import render_soak, run_soak
+    from repro.harness.bench import append_soak_history
+    from repro.serve.loadgen import render_soak, run_soak
     from repro.trace.cache import cached_trace
 
-    duration = args.duration_s
-    limit = args.limit
-    if args.ci:
-        duration = min(duration, 90.0)
-        limit = min(limit, 2000)
     spec = spec_from_cli(args.predictor, 1 << args.l1, 1 << args.l2)
-    trace = cached_trace(args.name, limit)
+    trace = cached_trace(args.name, args.limit)
     report = run_soak(
         spec, trace, workers=args.workers, sessions=args.sessions,
-        duration_s=duration, window=args.window, block=args.block,
-        state_dir=args.state_dir, max_burn=args.max_burn,
-        poll_interval_s=args.poll_interval_s)
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    if args.trace_out:
-        with open(args.trace_out, "w") as handle:
-            json.dump(report["trace_dump"], handle, indent=2,
-                      sort_keys=True)
-            handle.write("\n")
-    if args.history:
-        from repro.harness.bench import append_soak_history
-        append_soak_history(report, args.history)
-    if args.json:
-        out.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        out.write(render_soak(report))
-        if args.history:
-            out.write(f"history: appended to {args.history}\n")
-        if args.trace_out:
-            out.write(f"trace dump: {args.trace_out}\n")
-    return 0 if report["soak_ok"] else 1
+        duration_s=args.duration_s, window=args.window, block=args.block,
+        state_dir=args.state_dir, max_burn=args.max_burn)
+    return _write_report(args, out, report, render_soak,
+                         report["soak_ok"], append_soak_history)
 
 
 def _cmd_top(args, out) -> int:

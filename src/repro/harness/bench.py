@@ -348,7 +348,7 @@ def read_history(path: str = "BENCH_history.jsonl") -> List[dict]:
 
 def cluster_history_entry(report: dict) -> dict:
     """One ``kind: cluster_scaling`` history record from a
-    :func:`repro.serve.cluster.loadgen.run_scaling_loadgen` report --
+    :func:`repro.serve.loadgen.run_scaling_loadgen` report --
     aggregate throughput and tail latency per worker count, so ``repro
     bench diff`` can gate the cluster tier the same way it gates the
     kernels."""
@@ -381,7 +381,7 @@ def append_cluster_history(report: dict,
 
 def soak_history_entry(report: dict) -> dict:
     """One ``kind: cluster_soak`` history record from a
-    :func:`repro.serve.cluster.soak.run_soak` report -- the sustained
+    :func:`repro.serve.loadgen.run_soak` report -- the sustained
     throughput, tail latency and SLO-burn verdict of one soak run.
     ``repro bench diff`` ignores the kind today (soaks gate themselves
     pass/fail); the record is the longitudinal trail."""

@@ -16,9 +16,9 @@ this package serves the same predictors over TCP, online:
 - :mod:`repro.serve.server` -- the asyncio TCP server; sessions are
   sharded across worker tasks by session id.
 - :mod:`repro.serve.client` / :mod:`repro.serve.loadgen` -- a blocking
-  client (with reconnect-on-reset backoff) and a trace-replay load
-  generator reporting throughput and latency percentiles, verified
-  against the offline engine.
+  client (with reconnect-on-reset backoff) and the one trace-replay
+  driver: single-server loadgen, cluster scaling sweeps and sustained
+  soaks, each pass verified against the offline engine.
 - :mod:`repro.serve.cluster` -- multi-worker serving: a
   :class:`~repro.serve.cluster.supervisor.ClusterSupervisor` fleet of
   worker processes behind a session-affine

@@ -1,10 +1,10 @@
 """Blocking client for the prediction service.
 
 :class:`ServeClient` wraps one TCP connection with a plain synchronous
-call-per-frame API -- the shape the load generator, the test suite and
-any scripting caller wants.  One request is one round trip; the
-pipelined (many requests in flight) path lives in
-:mod:`repro.serve.loadgen`, built on the same frame helpers.
+call-per-frame API -- the shape the load generator
+(:mod:`repro.serve.loadgen`, which drives one client per replay
+thread), the test suite and any scripting caller wants.  One request
+is one round trip.
 
 Every frame uses the one protocol-version-2 header
 (``u32 len | u8 version=2 | u8 type | u32 request_id | u64 trace_id |

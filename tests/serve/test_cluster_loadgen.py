@@ -13,7 +13,8 @@ import pytest
 
 from repro.core.spec import DFCMSpec
 from repro.harness import bench
-from repro.serve.cluster.loadgen import render_scaling, run_scaling_loadgen
+from repro.serve import loadgen
+from repro.serve.loadgen import render_scaling, run_scaling_loadgen
 from repro.trace.trace import ValueTrace
 
 
@@ -85,6 +86,21 @@ class TestScalingReport:
         assert gated["scaling_ok"] is False
         assert gated["min_scaling"] == 100.0
         assert gated["parity_ok"] is True
+
+    def test_scaling_gate_needs_two_fleet_sizes(self):
+        with pytest.raises(ValueError, match="min_scaling"):
+            run_scaling_loadgen(DFCMSpec(64, 256), make_trace(200),
+                                workers=(1, 1), min_scaling=1e9)
+
+    def test_bad_block_is_rejected_before_any_fleet_starts(
+            self, monkeypatch):
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a fleet was started")
+
+        monkeypatch.setattr(loadgen, "ClusterThread", no_fleet)
+        with pytest.raises(ValueError, match="block"):
+            run_scaling_loadgen(DFCMSpec(64, 256), make_trace(200),
+                                workers=(1,), block=0)
 
 
 class TestClusterHistory:

@@ -118,13 +118,13 @@ class TestRunLoadgen:
             run_loadgen(DFCMSpec(64, 256), make_trace(), "127.0.0.1", 1,
                         block=0)
 
-    def test_no_verify_skips_offline_replay(self):
-        spec = DFCMSpec(256, 1024)
-        with ServerThread(max_delay=0.001) as server:
-            report = run_loadgen(spec, make_trace(120), "127.0.0.1",
-                                 server.port, mode="naive", verify=False)
-        assert "verify" not in report
-        assert report["modes"]["naive"]["records"] == 120
+    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    def test_speedup_gate_needs_both_modes(self, mode):
+        # A single mode has no speedup to gate: reject the gate instead
+        # of silently passing it.
+        with pytest.raises(ValueError, match="min_speedup"):
+            run_loadgen(DFCMSpec(64, 256), make_trace(), "127.0.0.1", 1,
+                        mode=mode, min_speedup=1e9)
 
     def test_zero_copy_large_blocks_parity(self):
         # Blocks of 1024 records put ~8 KiB frames on the wire in both

@@ -149,7 +149,7 @@ class TestScrapeUnderTraffic:
             thread.start()
             report = run_loadgen(DFCMSpec(256, 1024), make_trace(600),
                                  "127.0.0.1", server.port, mode="batched",
-                                 block=64, verify=False)
+                                 block=64)
             # One scrape strictly after the traffic, before shutdown.
             _, _, final_text = http_get(server.obs_port, "/metrics")
             _, _, final_health = http_get(server.obs_port, "/healthz")
@@ -371,7 +371,7 @@ class TestOverheadGuard:
             with ServerThread(shards=1, max_delay=0, **kwargs) as server:
                 report = run_loadgen(spec, trace, "127.0.0.1",
                                      server.port, mode="batched",
-                                     block=512, verify=False)
+                                     block=512)
             return report["modes"]["batched"]["records_per_s"]
 
         ratios = []

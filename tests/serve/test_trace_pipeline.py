@@ -231,7 +231,7 @@ class TestScaleEndpoint:
 class TestSoakHarness:
     def test_short_soak_passes_its_gates(self, tmp_path):
         from repro.harness.bench import append_soak_history
-        from repro.serve.cluster.soak import render_soak, run_soak
+        from repro.serve.loadgen import render_soak, run_soak
         from repro.trace.trace import ValueTrace
 
         pcs, values = workload(240)
@@ -240,7 +240,7 @@ class TestSoakHarness:
                            np.asarray(values, dtype=np.uint32))
         report = run_soak(DFCMSpec(64, 256), trace, workers=2,
                           sessions=2, duration_s=2.0, block=64,
-                          poll_interval_s=0.5, max_delay=0)
+                          max_delay=0)
         assert report["kind"] == "cluster_soak"
         assert report["passes"] >= 2
         assert report["parity_ok"] is True
@@ -267,8 +267,9 @@ class TestSoakHarness:
         line = json.loads(history.read_text().splitlines()[0])
         assert line["passes"] == report["passes"]
 
-    def test_soak_rejects_bad_arguments(self):
-        from repro.serve.cluster.soak import run_soak
+    def test_soak_rejects_bad_arguments(self, monkeypatch):
+        from repro.serve import loadgen
+        from repro.serve.loadgen import run_soak
         from repro.trace.trace import ValueTrace
         pcs, values = workload(10)
         trace = ValueTrace("soak-bad",
@@ -281,3 +282,35 @@ class TestSoakHarness:
             run_soak(spec, trace, duration_s=0)
         with pytest.raises(ValueError):
             run_soak(spec, trace, max_burn=0)
+
+        def no_fleet(*args, **kwargs):
+            raise AssertionError("a fleet was started")
+
+        monkeypatch.setattr(loadgen, "ClusterThread", no_fleet)
+        with pytest.raises(ValueError, match="block"):
+            run_soak(spec, trace, block=0)
+
+    def test_soak_fails_when_a_closing_session_disagrees(self,
+                                                          monkeypatch):
+        """The hit count a closing session reports is checked on every
+        soak pass, as on every other replay pass."""
+        from repro.serve.loadgen import run_soak
+        from repro.trace.trace import ValueTrace
+
+        close_session = ServeClient.close_session
+
+        def one_extra_hit(self, session):
+            stats = close_session(self, session)
+            return dict(stats, hits=stats["hits"] + 1)
+
+        monkeypatch.setattr(ServeClient, "close_session", one_extra_hit)
+        pcs, values = workload(120)
+        trace = ValueTrace("soak-gap",
+                           np.asarray(pcs, dtype=np.uint32),
+                           np.asarray(values, dtype=np.uint32))
+        report = run_soak(DFCMSpec(64, 256), trace, workers=1,
+                          sessions=1, duration_s=0.5, block=64,
+                          max_delay=0)
+        assert report["soak_ok"] is False
+        assert report["errors"]
+        assert "session reported" in report["errors"][0]

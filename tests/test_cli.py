@@ -247,6 +247,43 @@ class TestServeAndLoadgen:
                 "--limit", "200", "--min-speedup", "1000000")
         assert code == 1
 
+    def test_loadgen_cluster_workers_writes_report_and_history(
+            self, tmp_path):
+        out_path = tmp_path / "scaling.json"
+        history = tmp_path / "hist.jsonl"
+        code, text = run_cli(
+            "loadgen", "li", "--cluster-workers", "1,2", "--sessions", "1",
+            "--limit", "300", "--block", "64", "--out", str(out_path),
+            "--history", str(history))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        assert report["kind"] == "cluster_scaling"
+        assert [p["workers"] for p in report["points"]] == [1, 2]
+        assert report["parity_ok"] is True
+        (entry,) = [json.loads(line)
+                    for line in history.read_text().splitlines()]
+        assert entry["kind"] == "cluster_scaling"
+        assert "cluster scaling: dfcm" in text
+        assert f"history: appended to {history}" in text
+
+    def test_soak_writes_report_and_history(self, tmp_path):
+        out_path = tmp_path / "soak.json"
+        history = tmp_path / "hist.jsonl"
+        code, text = run_cli(
+            "soak", "li", "--workers", "1", "--sessions", "1",
+            "--duration-s", "1", "--limit", "300", "--block", "64",
+            "--out", str(out_path), "--history", str(history))
+        assert code == 0
+        report = json.loads(out_path.read_text())
+        assert report["kind"] == "cluster_soak"
+        assert report["soak_ok"] is True
+        assert report["trace_dump"]["retained"] > 0
+        (entry,) = [json.loads(line)
+                    for line in history.read_text().splitlines()]
+        assert entry["kind"] == "cluster_soak"
+        assert "soak: PASS" in text
+        assert f"history: appended to {history}" in text
+
     def test_serve_subprocess_sigterm_drain(self):
         import os
         import signal
